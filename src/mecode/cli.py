@@ -29,7 +29,7 @@ from .costmodel import (
 )
 from .errors import MecodeError, ValidationError
 from .fixedopt import fixed_cost, optimize_fixed, scan_to_csv_rows
-from .varopt import oracle_prefix, optimize_prefix, parent_child_pairs
+from .varopt import DEFAULT_DEPTH_CAP, default_depth, oracle_prefix, optimize_prefix, parent_child_pairs
 
 REPRODUCE_TARGETS = ("table1", "table2", "table4", "fig2", "fig3", "fig4", "fig5", "all")
 
@@ -121,7 +121,7 @@ def cmd_optimize(args) -> int:
         if args.scan:
             Path(args.scan).write_text("\n".join(scan_to_csv_rows(scan)) + "\n")
     else:
-        dp = args.dp if args.dp is not None else min(src.m - 1, 24)
+        dp = args.dp if args.dp is not None else default_depth(src.m)
         cb = optimize_prefix(src, cm, dp=dp, eta_max=args.eta_max)
         n_or_dp = dp
     report = metrics.evaluate(src, cb, cm)
@@ -520,7 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, default=_env_int("MECODE_N_MAX", None),
                    help="fixed: largest block length to scan (default m-1)")
     p.add_argument("--dp", type=int, default=_env_int("MECODE_DP", None),
-                   help="prefix: candidate tree depth (default min(m-1, 24))")
+                   help=f"prefix: candidate tree depth (default min(m-1, {DEFAULT_DEPTH_CAP}))")
     p.add_argument("--eta-max", type=float, default=None,
                    help="prefix: optional bound on the rate-reduction factor")
     p.add_argument("--scan", help="fixed: also write the n scan as CSV")

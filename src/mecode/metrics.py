@@ -198,14 +198,14 @@ def _row(kind: str, m: int, gamma: float, n_or_dp: int, metrics: CodebookMetrics
 
 def _optimized_row(kind: str, m: int, gamma: float, spec: SweepSpec) -> dict:
     from .fixedopt import optimize_fixed
-    from .varopt import optimize_prefix
+    from .varopt import default_depth, optimize_prefix
 
     src = as_source(m)
     cm = model_from_gamma(gamma, spec.t0, spec.t1)
     if kind == "fixed":
         cb, scan = optimize_fixed(src, cm, n_max=spec.n_max)
         return _row(kind, m, gamma, scan.n_opt, evaluate(src, cb, cm))
-    dp = spec.dp if spec.dp is not None else min(m - 1, 24)
+    dp = spec.dp if spec.dp is not None else default_depth(m)
     cb = optimize_prefix(src, cm, dp=dp)
     return _row(kind, m, gamma, dp, evaluate(src, cb, cm))
 

@@ -9,7 +9,8 @@ Two exact engines solve the selection problem:
 
 * equiprobable sources: a dynamic program over subtree shapes (a subtree
   either contributes its root as a codeword or splits the quota between
-  its children), with exact rational costs so ties resolve to the
+  its children), on exact integer costs (beta0 and beta1 scaled by their
+  common power-of-two denominator) so ties resolve to the
   lexicographically smallest sorted codeword list;
 * general sources: depth-first branch and bound over the node ordering,
   decision per node = take it as a codeword or descend past it, bounded
@@ -21,13 +22,14 @@ A brute-force oracle over tiny trees validates both engines.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .codebook import Codebook
 from .costmodel import CostModel, SymbolSource, as_source, assign_to_symbols
 from .errors import InfeasibleError, SearchBudgetError, ValidationError
+from .metrics import source_entropy
 
 MAX_TREE_DEPTH = 30
 MAX_PAIRS_DEPTH = 12
@@ -37,6 +39,11 @@ DEFAULT_DEPTH_CAP = 24
 DEFAULT_NODE_BUDGET = 2_000_000
 
 _REL_TOL = 1e-12
+
+
+def default_depth(m: int) -> int:
+    """Candidate tree depth used when the caller gives none: min(m - 1, DEFAULT_DEPTH_CAP)."""
+    return min(m - 1, DEFAULT_DEPTH_CAP)
 
 
 def _check_depth(dp: int, cap: int = MAX_TREE_DEPTH) -> None:
@@ -201,8 +208,11 @@ def _evaluate_duration(words: Sequence[str], probs_desc: Sequence[float], cm: Co
     return sum(p * _word_duration(w, cm) for p, w in zip(probs_desc, ordered))
 
 
-def _source_entropy_bits(src: SymbolSource) -> float:
-    return -sum(p * math.log2(p) for p in src.probs if p > 0.0)
+def _duration_budget(src: SymbolSource, cm: CostModel, eta_max: float) -> float:
+    """Largest average codeword duration allowed: eta_max times the
+    uncoded symbol duration (t0 + t1) / 2 * H."""
+    t_src = (cm.t0 + cm.t1) / 2.0 * source_entropy(src)
+    return eta_max * t_src
 
 
 # ---------------------------------------------------------------------------
@@ -210,69 +220,94 @@ def _source_entropy_bits(src: SymbolSource) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _exact_integers(*values: float) -> tuple[int, ...]:
+    """Finite floats as exact integers on one common scale.
+
+    Every finite float is a dyadic rational n / 2**e, so multiplying all of
+    them by their common power-of-two denominator gives integers whose sums
+    and comparisons order exactly as the rational values do.
+    """
+    ratios = [x.as_integer_ratio() for x in values]
+    scale = math.lcm(*(den for _, den in ratios))
+    return tuple(num * (scale // den) for num, den in ratios)
+
+
 def _uniform_optimal_words(cm: CostModel, dp: int, m: int) -> list[str]:
     """Minimum-total-cost prefix code with m words of length <= dp.
 
     ``cost[d][k]`` is the cheapest total cost of k prefix-free extensions
     within a subtree that has d levels below its root, the root itself
-    counting as the zero-cost extension. A subtree holds one codeword by
-    contributing its root, or k >= 2 by splitting the quota between its
-    '0' child (each word gaining beta0) and '1' child (gaining beta1).
-    Exact rationals make tie detection reliable; ties reconstruct to the
-    lexicographically smallest sorted codeword list.
+    counting as the zero-cost extension; row d holds k = 0..min(2**d, m).
+    A subtree holds one codeword by contributing its root, or k >= 2 by
+    splitting the quota between its '0' child (each word gaining beta0)
+    and '1' child (gaining beta1). Costs are exact integers (beta0 and
+    beta1 scaled by their common power-of-two denominator), so ties are
+    detected exactly and reconstruct to the lexicographically smallest
+    sorted codeword list.
     """
-    b0, b1 = Fraction(cm.beta0), Fraction(cm.beta1)
-    cost: list[list[Fraction | None]] = [[None] * (m + 1) for _ in range(dp + 1)]
-    for d in range(dp + 1):
-        cost[d][0] = Fraction(0)
-        if m >= 1:
-            cost[d][1] = Fraction(0)
-    for d in range(1, dp + 1):
-        child_cap = min(2 ** (d - 1), m)
-        for k in range(2, min(2**d, m) + 1):
-            best: Fraction | None = None
-            for k0 in range(max(0, k - child_cap), min(k, child_cap) + 1):
-                k1 = k - k0
-                left, right = cost[d - 1][k0], cost[d - 1][k1]
-                if left is None or right is None:
-                    continue
-                total = k0 * b0 + left + k1 * b1 + right
-                if best is None or total < best:
-                    best = total
-            cost[d][k] = best
-    if cost[dp][m] is None:
+    if m > 2**dp:
         raise InfeasibleError(f"no prefix code with {m} words fits in depth {dp}")
+    b0, b1 = _exact_integers(cm.beta0, cm.beta1)
+    cost: list[list[int]] = [[0] * min(2, m + 1)]
+    for _ in range(dp):
+        prev = cost[-1]
+        cap = len(prev) - 1
+        # a split of k words into k0 under '0' and k1 = k - k0 under '1'
+        # costs via0[k0] + via1[k1]
+        via0 = [c + k * b0 for k, c in enumerate(prev)]
+        via1 = [c + k * b1 for k, c in enumerate(prev)]
+        row = prev[:2]
+        for k in range(2, min(2 * cap, m) + 1):
+            lo, hi = max(0, k - cap), min(k, cap)
+            splits = map(operator.add, via0[lo : hi + 1], reversed(via1[k - hi : k - lo + 1]))
+            row.append(min(splits))
+        cost.append(row)
+    return list(_smallest_optimal_words(cost, b0, b1, dp, m, {}))
 
-    memo: dict[tuple[int, int], tuple[str, ...]] = {}
 
-    def reconstruct(d: int, k: int) -> tuple[str, ...]:
-        if k == 0:
-            return ()
-        if k == 1:
-            return ("",)
-        key = (d, k)
-        if key in memo:
-            return memo[key]
-        target = cost[d][k]
-        child_cap = min(2 ** (d - 1), m)
-        best_words: tuple[str, ...] | None = None
-        for k0 in range(max(0, k - child_cap), min(k, child_cap) + 1):
-            k1 = k - k0
-            left, right = cost[d - 1][k0], cost[d - 1][k1]
-            if left is None or right is None:
-                continue
-            if k0 * b0 + left + k1 * b1 + right != target:
-                continue
-            candidate = tuple("0" + w for w in reconstruct(d - 1, k0)) + tuple(
-                "1" + w for w in reconstruct(d - 1, k1)
-            )
-            if best_words is None or candidate < best_words:
-                best_words = candidate
-        assert best_words is not None
-        memo[key] = best_words
-        return best_words
+def _smallest_optimal_words(
+    cost: list[list[int]],
+    b0: int,
+    b1: int,
+    d: int,
+    k: int,
+    memo: dict[tuple[int, int], tuple[str, ...]],
+) -> tuple[str, ...]:
+    """Lexicographically smallest sorted word list among the optimal
+    k-word codes of a depth-d subtree, memoized in ``memo``.
 
-    return list(reconstruct(dp, m))
+    The words of a split are its '0' child's words behind "0", then its
+    '1' child's behind "1", so splits compare by their '0' lists alone: a
+    list that extends another wins, as it puts a "0" word where the other
+    puts a "1" word. Appending "2", which sorts after every bit string,
+    makes plain tuple comparison say so.
+
+    A plain function rather than a closure over ``memo``: a recursive
+    closure would sit in a reference cycle with the memo, keeping it
+    alive until the cyclic garbage collector happens to run.
+    """
+    if k <= 1:
+        return ("",) * k
+    words = memo.get((d, k))
+    if words is not None:
+        return words
+    child = cost[d - 1]
+    cap = len(child) - 1
+    target = cost[d][k]
+    best_key: tuple[str, ...] | None = None
+    best_k0 = 0
+    for k0 in range(max(0, k - cap), min(k, cap) + 1):
+        k1 = k - k0
+        if k0 * b0 + child[k0] + k1 * b1 + child[k1] != target:
+            continue
+        key = _smallest_optimal_words(cost, b0, b1, d - 1, k0, memo) + ("2",)
+        if best_key is None or key < best_key:
+            best_key, best_k0 = key, k0
+    assert best_key is not None
+    ones = _smallest_optimal_words(cost, b0, b1, d - 1, k - best_k0, memo)
+    words = tuple("0" + w for w in best_key[:-1]) + tuple("1" + w for w in ones)
+    memo[(d, k)] = words
+    return words
 
 
 # ---------------------------------------------------------------------------
@@ -432,14 +467,14 @@ def optimize_prefix(
     selected codewords assigned to the most probable symbols. ``eta_max``
     optionally bounds the rate-reduction factor (average codeword duration
     over average uncoded symbol duration); by default no rate constraint
-    applies. Default depth is min(m - 1, 24); depths up to m - 1 only pay
+    applies. Default depth is ``default_depth(m)``; depths up to m - 1 only pay
     off as the cost ratio grows very large, and are accepted up to 128
     since the search never materializes the tree.
     """
     src = as_source(source)
     m = src.m
     if dp is None:
-        dp = min(m - 1, DEFAULT_DEPTH_CAP)
+        dp = default_depth(m)
     _check_depth(dp, cap=MAX_OPTIMIZER_DEPTH)
     if 2**dp < m:
         raise InfeasibleError(f"depth {dp} admits at most {2**dp} codewords, need {m}")
@@ -452,8 +487,7 @@ def optimize_prefix(
         if eta_max is not None:
             if not (isinstance(eta_max, (int, float)) and math.isfinite(eta_max) and eta_max > 0):
                 raise ValidationError(f"eta_max: must be a finite positive number, got {eta_max!r}")
-            t_src = (cm.t0 + cm.t1) / 2.0 * _source_entropy_bits(src)
-            duration_budget = eta_max * t_src
+            duration_budget = _duration_budget(src, cm, eta_max)
         seed = _best_seed(cm, dp, m, probs_desc, duration_budget)
         words = _branch_and_bound(cm, dp, probs_desc, seed, duration_budget, node_budget)
 
@@ -525,8 +559,7 @@ def oracle_prefix(
     probs_desc = tuple(reversed(src.probs))
     duration_budget = None
     if eta_max is not None:
-        t_src = (cm.t0 + cm.t1) / 2.0 * _source_entropy_bits(src)
-        duration_budget = eta_max * t_src
+        duration_budget = _duration_budget(src, cm, eta_max)
 
     best_cost = math.inf
     best_key: tuple[str, ...] | None = None

@@ -1,18 +1,26 @@
+import gc
 import math
 import random
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import mecode as mc
 from mecode.errors import InfeasibleError, SearchBudgetError, ValidationError
+from mecode.metrics import log_grid
 from mecode.varopt import (
+    DEFAULT_DEPTH_CAP,
     _branch_and_bound,
     _evaluate_words,
+    _uniform_optimal_words,
+    default_depth,
     iter_node_bits,
     node_count,
 )
 
+from _fraction_dp import _uniform_optimal_words as fraction_uniform_optimal_words
 from conftest import random_source
 
 
@@ -159,6 +167,49 @@ class TestOptimizePrefix:
                 _, scan = mc.optimize_fixed(src, cm)
                 cb = mc.optimize_prefix(src, cm, dp=m - 1)
                 assert mc.average_cost(src, cb, cm) <= scan.best_cost() * (1 + 1e-12)
+
+
+BETAS = (0.0, 5e-324, 0.1, 1.0, 1.5, 1e300) + log_grid(1.0, 1000.0, 7) + log_grid(1e-3, 0.9, 5)
+
+
+@st.composite
+def uniform_instances(draw):
+    m = draw(st.integers(2, 40))
+    lo = (m - 1).bit_length()
+    dp = draw(st.integers(lo, max(lo, min(m - 1, 12))))
+    beta0, beta1 = sorted((draw(st.sampled_from(BETAS)), draw(st.sampled_from(BETAS))))
+    if beta1 == 0.0:
+        beta1 = 1.0
+    return mc.CostModel(beta0, beta1, 1.0, 1.0), dp, m
+
+
+class TestUniformEngine:
+    @settings(max_examples=150, deadline=None)
+    @given(uniform_instances())
+    @example((mc.CostModel(1.0, 1.0, 1.0, 1.0), 5, 20))  # gamma = 1
+    @example((mc.CostModel(0.0, 1.0, 1.0, 1.0), 12, 40))  # beta0 = 0
+    @example((mc.CostModel(5e-324, 1e300, 1.0, 1.0), 7, 33))
+    def test_matches_fraction_reference(self, instance):
+        # exact integers must tie exactly where exact rationals tie, so the
+        # tie-break lands on the identical word list
+        cm, dp, m = instance
+        assert _uniform_optimal_words(cm, dp, m) == fraction_uniform_optimal_words(cm, dp, m)
+
+    def test_leaves_no_cyclic_garbage(self):
+        # the reconstruction memo must be freed on return, not left in a
+        # reference cycle for the cyclic collector
+        gc.collect()
+        gc.disable()
+        try:
+            mc.optimize_prefix(mc.uniform_source(64), mc.model_from_gamma(math.inf))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_default_depth(self):
+        assert default_depth(8) == 7
+        assert default_depth(DEFAULT_DEPTH_CAP + 1) == DEFAULT_DEPTH_CAP
+        assert default_depth(256) == DEFAULT_DEPTH_CAP
 
 
 class TestOracle:

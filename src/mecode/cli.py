@@ -292,8 +292,7 @@ def _reproduce_table4(out_dir: Path) -> tuple[list[str], dict]:
     return files, values
 
 
-def _reproduce_csv(out_dir: Path, name: str, spec: metrics.SweepSpec) -> tuple[list[str], dict]:
-    rows = metrics.sweep(spec)
+def _reproduce_csv(out_dir: Path, name: str, rows: list[dict]) -> tuple[list[str], dict]:
     path = out_dir / f"{name}.csv"
     path.write_text(metrics.sweep_to_csv(rows))
     return [str(path)], {"rows": len(rows)}
@@ -302,6 +301,7 @@ def _reproduce_csv(out_dir: Path, name: str, spec: metrics.SweepSpec) -> tuple[l
 def _fig_specs() -> dict[str, metrics.SweepSpec]:
     gamma_wide = metrics.log_grid(1.0, 1e4, 25)
     gamma_narrow = metrics.log_grid(1.0, 100.0, 25)
+    fig34 = metrics.SweepSpec(var="gamma", grid=gamma_wide, m=(8, 16, 32, 128), kinds=("fixed",))
     return {
         "fig2": metrics.SweepSpec(
             var="n",
@@ -309,8 +309,8 @@ def _fig_specs() -> dict[str, metrics.SweepSpec]:
             m=(128,),
             gammas=(1.0, 2.0, 5.0, 10.0, 100.0),
         ),
-        "fig3": metrics.SweepSpec(var="gamma", grid=gamma_wide, m=(8, 16, 32, 128), kinds=("fixed",)),
-        "fig4": metrics.SweepSpec(var="gamma", grid=gamma_wide, m=(8, 16, 32, 128), kinds=("fixed",)),
+        "fig3": fig34,
+        "fig4": fig34,
         "fig5": metrics.SweepSpec(var="gamma", grid=gamma_narrow, m=(8,), kinds=("fixed", "prefix")),
     }
 
@@ -322,6 +322,7 @@ def cmd_reproduce(args) -> int:
     all_files: list[str] = []
     all_values: dict = {}
     fig_specs = _fig_specs()
+    rows_by_spec: dict[metrics.SweepSpec, list[dict]] = {}
     for target in targets:
         if target == "table1":
             files, values = _reproduce_table1(out_dir)
@@ -330,7 +331,10 @@ def cmd_reproduce(args) -> int:
         elif target == "table4":
             files, values = _reproduce_table4(out_dir)
         else:
-            files, values = _reproduce_csv(out_dir, target, fig_specs[target])
+            spec = fig_specs[target]
+            if spec not in rows_by_spec:
+                rows_by_spec[spec] = metrics.sweep(spec)
+            files, values = _reproduce_csv(out_dir, target, rows_by_spec[spec])
         all_files.extend(files)
         all_values[target] = values
     doc = {"targets": list(targets), "files": all_files, "values": all_values}

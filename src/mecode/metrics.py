@@ -157,8 +157,9 @@ class SweepSpec:
     """One swept variable plus the fixed parameters of a sweep.
 
     ``var`` is one of "n", "gamma", "m", "dp". Grids for "n", "m" and "dp"
-    must be integers. All sweeps use uniform sources; gamma = inf rows use
-    the explicit free-zero-bit model.
+    must be integers, and "n" and "dp" sweeps take exactly one m. All
+    sweeps use uniform sources; gamma = inf rows use the explicit
+    free-zero-bit model.
     """
 
     var: str
@@ -178,6 +179,8 @@ class SweepSpec:
             raise ValidationError("grid: must not be empty")
         if self.var in ("n", "m", "dp") and any(v != int(v) for v in self.grid):
             raise ValidationError(f"grid: {self.var} grid must be integers")
+        if self.var in ("n", "dp") and len(self.m) != 1:
+            raise ValidationError(f"m: {self.var!r} sweeps take one symbol count, got {len(self.m)}")
         for kind in self.kinds:
             if kind not in ("fixed", "prefix"):
                 raise ValidationError(f"kinds: must be fixed|prefix, got {kind!r}")

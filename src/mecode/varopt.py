@@ -10,8 +10,11 @@ Two exact engines solve the selection problem:
 * equiprobable sources: a dynamic program over subtree shapes (a subtree
   either contributes its root as a codeword or splits the quota between
   its children), on exact integer costs (beta0 and beta1 scaled by their
-  common power-of-two denominator) so ties resolve to the
-  lexicographically smallest sorted codeword list;
+  common power-of-two denominator). Each row of the cost table is convex,
+  so it is a running sum of its children's merged marginal costs, an
+  O(dp * m) table; a linear walk from the root that takes each subtree's
+  smallest optimal split resolves ties to the lexicographically smallest
+  sorted codeword list;
 * general sources: depth-first branch and bound over the node ordering,
   decision per node = take it as a codeword or descend past it, bounded
   by an optimistic completion with the cheapest still-reachable costs.
@@ -22,14 +25,14 @@ A brute-force oracle over tiny trees validates both engines.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
+from itertools import accumulate, pairwise
 from typing import Iterator, Sequence
 
 from .codebook import Codebook
 from .costmodel import CostModel, SymbolSource, as_source, assign_to_symbols
 from .errors import InfeasibleError, SearchBudgetError, ValidationError
-from .metrics import source_entropy
+from .metrics import source_symbol_duration
 
 MAX_TREE_DEPTH = 30
 MAX_PAIRS_DEPTH = 12
@@ -210,9 +213,10 @@ def _evaluate_duration(words: Sequence[str], probs_desc: Sequence[float], cm: Co
 
 def _duration_budget(src: SymbolSource, cm: CostModel, eta_max: float) -> float:
     """Largest average codeword duration allowed: eta_max times the
-    uncoded symbol duration (t0 + t1) / 2 * H."""
-    t_src = (cm.t0 + cm.t1) / 2.0 * source_entropy(src)
-    return eta_max * t_src
+    uncoded symbol duration."""
+    if not (isinstance(eta_max, (int, float)) and math.isfinite(eta_max) and eta_max > 0):
+        raise ValidationError(f"eta_max: must be a finite positive number, got {eta_max!r}")
+    return eta_max * source_symbol_duration(src, cm)
 
 
 # ---------------------------------------------------------------------------
@@ -239,74 +243,62 @@ def _uniform_optimal_words(cm: CostModel, dp: int, m: int) -> list[str]:
     within a subtree that has d levels below its root, the root itself
     counting as the zero-cost extension; row d holds k = 0..min(2**d, m).
     A subtree holds one codeword by contributing its root, or k >= 2 by
-    splitting the quota between its '0' child (each word gaining beta0)
-    and '1' child (gaining beta1). Costs are exact integers (beta0 and
-    beta1 scaled by their common power-of-two denominator), so ties are
-    detected exactly and reconstruct to the lexicographically smallest
-    sorted codeword list.
+    splitting the quota into k0 words under its '0' child (each gaining
+    beta0) and k1 = k - k0 under its '1' child (each gaining beta1). Costs
+    are exact integers (beta0 and beta1 scaled by their common
+    power-of-two denominator), so ties are detected exactly. Of the tied
+    optima the code returned is the lexicographically smallest sorted
+    word list, found without comparing any lists:
+
+    1. By induction on d, ``cost[d][.]`` is convex. For k >= 2 a row is
+       the (min, +) convolution of the convex sequences
+       ``j*b0 + cost[d-1][j]`` and ``j*b1 + cost[d-1][j]``, which is the
+       sum of the k smallest merged marginal costs: b0, and b1, plus each
+       difference ``cost[d-1][j] - cost[d-1][j-1]``. Resetting k = 1 to
+       the root's 0 keeps the row convex, because the third merged
+       marginal, ``2*b0 + b1``, is at least ``cost[d][2] = b0 + b1``.
+    2. For k >= 2 the split k0 = 0 costs at least b1 more than k0 = 1,
+       and by convexity k0 = k is never cheaper than k0 = k - 1, so the
+       smallest tied k0 lies in [1, k - 1].
+    3. With convex children, the smallest optimal split is non-decreasing
+       in k, by the exchange argument on convex sequences.
+    4. Hence, by induction on d, for 1 <= a < b the smallest-split word
+       list for a sorts before the list for b, and first differs from it
+       at an index below a. A split lists its '0' child's words behind
+       "0", then its '1' child's behind "1", so among a parent's tied
+       splits the smallest k0 yields the lexicographically smallest
+       sorted word list.
+
+    So each row is one merge of two sorted runs and one running sum,
+    O(m), and the words come from one walk down from the root that takes
+    the smallest optimal split of every subtree.
     """
     if m > 2**dp:
         raise InfeasibleError(f"no prefix code with {m} words fits in depth {dp}")
     b0, b1 = _exact_integers(cm.beta0, cm.beta1)
-    cost: list[list[int]] = [[0] * min(2, m + 1)]
+    cost: list[list[int]] = [[0, 0]]
     for _ in range(dp):
-        prev = cost[-1]
-        cap = len(prev) - 1
-        # a split of k words into k0 under '0' and k1 = k - k0 under '1'
-        # costs via0[k0] + via1[k1]
-        via0 = [c + k * b0 for k, c in enumerate(prev)]
-        via1 = [c + k * b1 for k, c in enumerate(prev)]
-        row = prev[:2]
-        for k in range(2, min(2 * cap, m) + 1):
-            lo, hi = max(0, k - cap), min(k, cap)
-            splits = map(operator.add, via0[lo : hi + 1], reversed(via1[k - hi : k - lo + 1]))
-            row.append(min(splits))
-        cost.append(row)
-    return list(_smallest_optimal_words(cost, b0, b1, dp, m, {}))
+        marginals = [hi - lo for lo, hi in pairwise(cost[-1])]
+        # two sorted runs, which sorted() merges in linear time
+        merged = sorted([b0 + x for x in marginals] + [b1 + x for x in marginals])
+        cost.append([0, 0] + list(accumulate(merged[:m]))[1:])
 
-
-def _smallest_optimal_words(
-    cost: list[list[int]],
-    b0: int,
-    b1: int,
-    d: int,
-    k: int,
-    memo: dict[tuple[int, int], tuple[str, ...]],
-) -> tuple[str, ...]:
-    """Lexicographically smallest sorted word list among the optimal
-    k-word codes of a depth-d subtree, memoized in ``memo``.
-
-    The words of a split are its '0' child's words behind "0", then its
-    '1' child's behind "1", so splits compare by their '0' lists alone: a
-    list that extends another wins, as it puts a "0" word where the other
-    puts a "1" word. Appending "2", which sorts after every bit string,
-    makes plain tuple comparison say so.
-
-    A plain function rather than a closure over ``memo``: a recursive
-    closure would sit in a reference cycle with the memo, keeping it
-    alive until the cyclic garbage collector happens to run.
-    """
-    if k <= 1:
-        return ("",) * k
-    words = memo.get((d, k))
-    if words is not None:
-        return words
-    child = cost[d - 1]
-    cap = len(child) - 1
-    target = cost[d][k]
-    best_key: tuple[str, ...] | None = None
-    best_k0 = 0
-    for k0 in range(max(0, k - cap), min(k, cap) + 1):
-        k1 = k - k0
-        if k0 * b0 + child[k0] + k1 * b1 + child[k1] != target:
+    words: list[str] = []
+    stack = [("", dp, m)]
+    while stack:
+        prefix, d, k = stack.pop()
+        if k == 1:
+            words.append(prefix)
             continue
-        key = _smallest_optimal_words(cost, b0, b1, d - 1, k0, memo) + ("2",)
-        if best_key is None or key < best_key:
-            best_key, best_k0 = key, k0
-    assert best_key is not None
-    ones = _smallest_optimal_words(cost, b0, b1, d - 1, k - best_k0, memo)
-    words = tuple("0" + w for w in best_key[:-1]) + tuple("1" + w for w in ones)
-    memo[(d, k)] = words
+        child = cost[d - 1]
+        cap = len(child) - 1
+        k0 = next(
+            j
+            for j in range(max(1, k - cap), min(k - 1, cap) + 1)
+            if j * b0 + child[j] + (k - j) * b1 + child[k - j] == cost[d][k]
+        )
+        stack.append((prefix + "1", d - 1, k - k0))
+        stack.append((prefix + "0", d - 1, k0))
     return words
 
 
@@ -485,8 +477,6 @@ def optimize_prefix(
     else:
         duration_budget = None
         if eta_max is not None:
-            if not (isinstance(eta_max, (int, float)) and math.isfinite(eta_max) and eta_max > 0):
-                raise ValidationError(f"eta_max: must be a finite positive number, got {eta_max!r}")
             duration_budget = _duration_budget(src, cm, eta_max)
         seed = _best_seed(cm, dp, m, probs_desc, duration_budget)
         words = _branch_and_bound(cm, dp, probs_desc, seed, duration_budget, node_budget)

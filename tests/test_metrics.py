@@ -229,6 +229,14 @@ class TestSweep:
         with pytest.raises(ValidationError):
             mc.SweepSpec(var="gamma", grid=(1.0,), kinds=("huffman",))
 
+    def test_single_m_sweeps_refuse_several_m(self):
+        # "n" and "dp" sweeps run at one symbol count; extra ones would be
+        # dropped without a word
+        for var in ("n", "dp"):
+            with pytest.raises(ValidationError):
+                mc.SweepSpec(var=var, grid=(3, 4), m=(8, 16))
+        assert mc.SweepSpec(var="gamma", grid=(1.0,), m=(8, 16)).m == (8, 16)
+
 
 class TestGrids:
     def test_log_grid_endpoints_and_growth(self):

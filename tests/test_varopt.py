@@ -1,4 +1,5 @@
 import gc
+import heapq
 import math
 import random
 from concurrent.futures import ThreadPoolExecutor
@@ -169,12 +170,16 @@ class TestOptimizePrefix:
                 assert mc.average_cost(src, cb, cm) <= scan.best_cost() * (1 + 1e-12)
 
 
-BETAS = (0.0, 5e-324, 0.1, 1.0, 1.5, 1e300) + log_grid(1.0, 1000.0, 7) + log_grid(1e-3, 0.9, 5)
+BETAS = (
+    (0.0, 5e-324, 0.1, 1.0, 1.5, 1e300, 2.0, 3.0, 4.0, 5.0, 6.0)
+    + log_grid(1.0, 1000.0, 7)
+    + log_grid(1e-3, 0.9, 5)
+)
 
 
 @st.composite
 def uniform_instances(draw):
-    m = draw(st.integers(2, 40))
+    m = draw(st.integers(2, 64))
     lo = (m - 1).bit_length()
     dp = draw(st.integers(lo, max(lo, min(m - 1, 12))))
     beta0, beta1 = sorted((draw(st.sampled_from(BETAS)), draw(st.sampled_from(BETAS))))
@@ -195,9 +200,26 @@ class TestUniformEngine:
         cm, dp, m = instance
         assert _uniform_optimal_words(cm, dp, m) == fraction_uniform_optimal_words(cm, dp, m)
 
+    def test_matches_cheapest_leaf_splitting(self):
+        # at dp = m - 1 the depth bound cannot bind, and splitting the
+        # cheapest leaf m - 1 times is optimal (Varn 1971; Perl, Garey and
+        # Even 1975): an independent oracle far beyond the reference's reach
+        for b0 in range(6):
+            for b1 in range(max(1, b0), 8):
+                cm = mc.CostModel(b0, b1, 1, 1)
+                for m in (2, 3, 17, 64, 100, 129):
+                    leaves = [0]
+                    for _ in range(m - 1):
+                        cost = heapq.heappop(leaves)
+                        heapq.heappush(leaves, cost + b0)
+                        heapq.heappush(leaves, cost + b1)
+                    words = _uniform_optimal_words(cm, m - 1, m)
+                    got = sum(b0 * w.count("0") + b1 * w.count("1") for w in words)
+                    assert got == sum(leaves), (b0, b1, m)
+
     def test_leaves_no_cyclic_garbage(self):
-        # the reconstruction memo must be freed on return, not left in a
-        # reference cycle for the cyclic collector
+        # the engine's table and walk stack must be freed by reference
+        # counting on return, leaving nothing for the cyclic collector
         gc.collect()
         gc.disable()
         try:
@@ -318,6 +340,25 @@ class TestEtaConstraint:
             mc.oracle_prefix(src, cm, 3, eta_max=1.0)
         with pytest.raises(InfeasibleError):
             mc.optimize_prefix(mc.uniform_source(4), cm, dp=3, eta_max=0.1)
+
+
+    def test_invalid_eta_max_rejected_by_both(self):
+        src = mc.symbol_source([0.5, 0.3, 0.2])
+        cm = mc.CostModel(1, 5, 1, 1)
+        for eta_max in (math.nan, math.inf, 0.0, -1.0):
+            with pytest.raises(ValidationError):
+                mc.optimize_prefix(src, cm, dp=2, eta_max=eta_max)
+            with pytest.raises(ValidationError):
+                mc.oracle_prefix(src, cm, 2, eta_max=eta_max)
+
+    def test_zero_entropy_source_rejected_by_both(self):
+        # the rate factor is undefined when the uncoded duration is zero
+        src = mc.symbol_source([1.0, 0.0])
+        cm = mc.CostModel(1, 5, 1, 1)
+        with pytest.raises(ValidationError):
+            mc.optimize_prefix(src, cm, dp=1, eta_max=1.5)
+        with pytest.raises(ValidationError):
+            mc.oracle_prefix(src, cm, 1, eta_max=1.5)
 
 
 class TestStress:

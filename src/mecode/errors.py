@@ -30,8 +30,9 @@ class DecodeError(MecodeError):
 class SearchBudgetError(MecodeError):
     """The exact search exhausted its node budget.
 
-    ``incumbent`` carries the best feasible codebook found before the
-    budget ran out, or None if none was found.
+    ``incumbent`` carries a feasible fallback word list, the cheapest of
+    the equiprobable optimum and the fixed-length codes that meets the
+    duration budget, or None if none does.
     """
 
     def __init__(self, message: str, incumbent=None):

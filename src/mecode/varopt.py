@@ -5,19 +5,22 @@ depth-first with the '0' branch before the '1' branch. Choosing a codebook
 means selecting m nodes no two of which lie on one root-to-leaf path; the
 sparse parent-child pair list expresses that exclusion constraint.
 
-Two exact engines solve the selection problem:
+Two exact engines solve the selection problem, on exact integer costs
+(beta0, beta1, and where needed t0, t1 and the probabilities, scaled by
+their common power-of-two denominator):
 
-* equiprobable sources: a dynamic program over subtree shapes (a subtree
-  either contributes its root as a codeword or splits the quota between
-  its children), on exact integer costs (beta0 and beta1 scaled by their
-  common power-of-two denominator). Each row of the cost table is convex,
+* equiprobable sources without a rate bound: a table over subtree
+  shapes (a subtree either contributes its root as a codeword or splits
+  the quota between its children). Each row of the cost table is convex,
   so it is a running sum of its children's merged marginal costs, an
   O(dp * m) table; a linear walk from the root that takes each subtree's
   smallest optimal split resolves ties to the lexicographically smallest
   sorted codeword list;
-* general sources: depth-first branch and bound over the node ordering,
-  decision per node = take it as a codeword or descend past it, bounded
-  by an optimistic completion with the cheapest still-reachable costs.
+* every other call, general sources and any ``eta_max``: a top-down
+  search by cost level over memoized states of (symbols assigned,
+  pending nodes), with Pareto frontiers of (cost, duration) under a
+  duration budget, and a depth-first walk that resolves ties the same
+  way.
 
 A brute-force oracle over tiny trees validates both engines.
 """
@@ -26,7 +29,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate, pairwise
+from itertools import accumulate, chain, groupby, pairwise, product
+from operator import itemgetter
 from typing import Iterator, Sequence
 
 from .codebook import Codebook
@@ -40,8 +44,6 @@ MAX_ORACLE_NODES = 30
 MAX_OPTIMIZER_DEPTH = 128  # optimizers never materialize the tree
 DEFAULT_DEPTH_CAP = 24
 DEFAULT_NODE_BUDGET = 2_000_000
-
-_REL_TOL = 1e-12
 
 
 def default_depth(m: int) -> int:
@@ -187,28 +189,14 @@ def _word_cost(bits: str, cm: CostModel) -> float:
     return cm.beta0 * bits.count("0") + cm.beta1 * bits.count("1")
 
 
-def _word_duration(bits: str, cm: CostModel) -> float:
-    return cm.t0 * bits.count("0") + cm.t1 * bits.count("1")
-
-
-def _paired(probs_desc: Sequence[float], values_asc: Sequence[float]) -> float:
-    """Expected value with the smallest entries on the largest probabilities."""
-    return sum(p * v for p, v in zip(probs_desc, values_asc))
-
-
 def _words_cheapest_first(words: Sequence[str], cm: CostModel) -> list[str]:
     return sorted(words, key=lambda w: (_word_cost(w, cm), w))
 
 
 def _evaluate_words(words: Sequence[str], probs_desc: Sequence[float], cm: CostModel) -> float:
+    """Expected cost with the cheapest words on the most probable symbols."""
     ordered = _words_cheapest_first(words, cm)
-    return _paired(probs_desc, [_word_cost(w, cm) for w in ordered])
-
-
-def _evaluate_duration(words: Sequence[str], probs_desc: Sequence[float], cm: CostModel) -> float:
-    """Average duration under the same cheapest-cost-first assignment."""
-    ordered = _words_cheapest_first(words, cm)
-    return sum(p * _word_duration(w, cm) for p, w in zip(probs_desc, ordered))
+    return sum(p * _word_cost(w, cm) for p, w in zip(probs_desc, ordered))
 
 
 def _duration_budget(src: SymbolSource, cm: CostModel, eta_max: float) -> float:
@@ -217,11 +205,6 @@ def _duration_budget(src: SymbolSource, cm: CostModel, eta_max: float) -> float:
     if not (isinstance(eta_max, (int, float)) and math.isfinite(eta_max) and eta_max > 0):
         raise ValidationError(f"eta_max: must be a finite positive number, got {eta_max!r}")
     return eta_max * source_symbol_duration(src, cm)
-
-
-# ---------------------------------------------------------------------------
-# exact engine for equiprobable sources
-# ---------------------------------------------------------------------------
 
 
 def _exact_integers(*values: float) -> tuple[int, ...]:
@@ -234,6 +217,67 @@ def _exact_integers(*values: float) -> tuple[int, ...]:
     ratios = [x.as_integer_ratio() for x in values]
     scale = math.lcm(*(den for _, den in ratios))
     return tuple(num * (scale // den) for num, den in ratios)
+
+
+@dataclass(frozen=True)
+class _ExactObjective:
+    """The prefix objective on exact integers, shared by the level engine,
+    the warm-start seeds and the oracle.
+
+    beta0, beta1, t0, t1, the probabilities (most probable first) and the
+    duration budget are scaled onto one common integer scale, so expected
+    costs and durations (probability x word value) compare exactly, and
+    the budget is compared in the same units. Codewords go to symbols
+    cheapest first; under a duration budget, equal-cost words go shortest
+    duration first, which changes no cost and gives the smallest duration.
+    """
+
+    b0: int
+    b1: int
+    t0: int
+    t1: int
+    probs: tuple[int, ...]
+    limit: int | None
+
+    @classmethod
+    def of(
+        cls, cm: CostModel, probs_desc: Sequence[float], duration_budget: float | None
+    ) -> "_ExactObjective":
+        budget = () if duration_budget is None else (duration_budget,)
+        scale, b0, b1, t0, t1, *ints = _exact_integers(
+            1.0, cm.beta0, cm.beta1, cm.t0, cm.t1, *probs_desc, *budget
+        )
+        m = len(probs_desc)
+        limit = ints[m] * scale if budget else None
+        return cls(b0, b1, t0, t1, tuple(ints[:m]), limit)
+
+    def word(self, bits: str) -> tuple[int, int]:
+        """Exact (cost, duration) of one codeword."""
+        n1 = bits.count("1")
+        n0 = len(bits) - n1
+        return self.b0 * n0 + self.b1 * n1, self.t0 * n0 + self.t1 * n1
+
+    def ordered(self, words: Sequence[str]) -> list[str]:
+        """Words in the order they go to symbols, most probable first."""
+        if self.limit is None:
+            return sorted(words, key=lambda w: (self.word(w)[0], w))
+        return sorted(words, key=lambda w: (self.word(w), w))
+
+    def totals(self, words: Sequence[str]) -> tuple[int, int]:
+        """Expected (cost, duration) of a word list, on the common scale."""
+        pairs = [self.word(w) for w in self.ordered(words)]
+        return (
+            sum(p * c for p, (c, _) in zip(self.probs, pairs)),
+            sum(p * d for p, (_, d) in zip(self.probs, pairs)),
+        )
+
+    def within_budget(self, duration: int) -> bool:
+        return self.limit is None or duration <= self.limit
+
+
+# ---------------------------------------------------------------------------
+# exact engine for equiprobable sources
+# ---------------------------------------------------------------------------
 
 
 def _uniform_optimal_words(cm: CostModel, dp: int, m: int) -> list[str]:
@@ -303,142 +347,191 @@ def _uniform_optimal_words(cm: CostModel, dp: int, m: int) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# branch and bound for general sources
+# exact level engine for general sources and duration budgets
 # ---------------------------------------------------------------------------
 
 
-def _minimax_antichain_table(dp: int, m: int, w0: float, w1: float) -> list[list[float]]:
-    """g[d][j]: smallest possible maximum extension value over any j
-    mutually prefix-free extensions within a subtree d levels deep.
-
-    The j-th cheapest codeword that any conflict-free completion can take
-    from such a subtree therefore values at least g[d][j] beyond the
-    subtree root, which is what makes the search bound conflict-aware:
-    nested words (for example the all-zeros spine) stop counting as if
-    they were simultaneously available.
-    """
-    inf = math.inf
-    g = [[inf] * (m + 1) for _ in range(dp + 1)]
-    for d in range(dp + 1):
-        g[d][0] = 0.0
-        if m >= 1:
-            g[d][1] = 0.0
-    for d in range(1, dp + 1):
-        cap = min(2 ** (d - 1), m)
-        for j in range(2, min(2**d, m) + 1):
-            best = inf
-            for j0 in range(max(0, j - cap), min(j, cap) + 1):
-                j1 = j - j0
-                left = w0 + g[d - 1][j0] if j0 else None
-                right = w1 + g[d - 1][j1] if j1 else None
-                if left is None:
-                    value = right
-                elif right is None:
-                    value = left
-                else:
-                    value = max(left, right)
-                assert value is not None
-                if value < best:
-                    best = value
-            g[d][j] = best
-    return g
-
-
-def _branch_and_bound(
+def _level_words(
     cm: CostModel,
     dp: int,
     probs_desc: tuple[float, ...],
-    seed_words: list[str] | None,
     duration_budget: float | None,
     node_budget: int,
 ) -> list[str]:
-    """Exact depth-first search over the candidate tree.
+    """Minimum expected cost prefix code with words of length <= dp, under
+    an optional budget on the expected duration, built top-down by cost
+    level (Golin & Rote, IEEE Trans. IT 1998) on ``_ExactObjective``'s
+    exact integers. Returns the words in the order they go to symbols.
 
-    Frames pop pending subtrees in depth-first node order; each node is
-    either selected as a codeword (skipping its whole subtree) or passed
-    over in favour of its children. A frame is pruned when even the most
-    optimistic conflict-aware completion cannot beat the incumbent.
+    * Full trees suffice. Contracting a node that has one child lowers the
+      cost, duration and length of every word below it, so without a
+      budget, or with one over equal probabilities, some optimum is a full
+      tree and every pending node ends as a codeword or is expanded. With
+      a budget over unequal probabilities a cheaper word can move to a
+      more probable symbol and raise the expected duration, so there a
+      pending node may also be left empty.
+    * Codewords go to symbols in order of cost, so the expected cost is
+      the sum over level steps of (mass not yet assigned) x (step). A
+      state is k, the symbols assigned so far, and the pending nodes as a
+      sorted tuple of (cost offset, duration offset, room), both offsets
+      from the state's cheapest node, so the cost to go depends on the
+      state alone. A full subtree holding j leaves is at most j - 1 deep,
+      so full-tree rooms are clamped at m - k - (pending count).
+    * At the cheapest level the only choice is how many nodes of each
+      duration to expand, taking those with the most room; (if allowed)
+      how many to leave empty; the rest become the next codewords,
+      shortest duration first. With beta0 = 0 a '0' child joins its
+      parent's level, so under a budget the level's codewords wait in the
+      state, with no room, until the level closes. Each state's value is
+      its Pareto frontier of (cost to go, duration to go), a single point
+      without a budget, memoized in a dict local to the call.
+    * Tie-break. A sorted word list follows the tree's leaves depth-first,
+      '0' first, so of two codes that agree up to some node, the one that
+      keeps that node as a leaf sorts first, then the one that expands it,
+      then the one that leaves it empty. The words therefore come from one
+      depth-first walk that keeps each node as a leaf, else expands it,
+      else leaves it empty, whichever first still admits a completion at
+      the optimum; a decided leaf stays in the cut with no room. This is
+      the lexicographically smallest sorted optimal list, the oracle's,
+      whenever every probability is positive (a zero-probability symbol
+      can make a tree that is not full tie with the optimum).
+
+    ``node_budget`` caps the states expanded; past it, SearchBudgetError
+    carries the best warm-start code as its incumbent.
     """
     m = len(probs_desc)
-    g_cost = _minimax_antichain_table(dp, m, cm.beta0, cm.beta1)
-    g_dur: list[list[float]] | None = None
-    if duration_budget is not None:
-        g_dur = _minimax_antichain_table(dp, m, cm.t0, cm.t1)
+    obj = _ExactObjective.of(cm, probs_desc, duration_budget)
+    rated = obj.limit is not None
+    b0, b1 = obj.b0, obj.b1
+    t0, t1 = (obj.t0, obj.t1) if rated else (0, 0)
+    loose = rated and len(set(obj.probs)) > 1  # pending nodes may be left empty
+    pinned = -1 if loose else 0  # room of a decided leaf: never expanded nor left empty
+    carry = rated and b0 == 0
+    mass = list(accumulate(reversed(obj.probs), initial=0))[::-1]  # mass[k] = sum(probs[k:])
+    memo: dict[tuple, list[tuple[int, int]]] = {}
+    expanded = 0
 
-    best_words: list[str] | None = None
-    best_cost = math.inf
-    if seed_words is not None:
-        best_words = list(seed_words)
-        best_cost = _evaluate_words(seed_words, probs_desc, cm)
+    def normalize(k: int, nodes: list[tuple[int, int, int]]) -> tuple[int, int, tuple]:
+        base = min(nodes)[0]
+        dbase = min(map(itemgetter(1), nodes)) if rated else 0
+        cap = dp if loose else m - k - len(nodes)
+        items = sorted((c - base, d - dbase, r if r < cap else cap) for c, d, r in nodes)
+        # one flat tuple per state, not one per node, keeps the memo small
+        return base, dbase, (k, *chain.from_iterable(items))
 
-    def tol(value: float) -> float:
-        return _REL_TOL * max(1.0, abs(value))
-
-    root = (("0", cm.beta0, dp - 1), ("1", cm.beta1, dp - 1))
-    stack: list[tuple[tuple, tuple[float, ...], tuple[str, ...]]] = [(root, (), ())]
-    visited = 0
-    while stack:
-        pending, sel_costs, sel_words = stack.pop()
-        visited += 1
-        if visited > node_budget:
-            incumbent = None
-            if best_words is not None:
-                incumbent = list(best_words)
-            raise SearchBudgetError(
-                f"prefix optimizer exceeded its node budget of {node_budget}", incumbent
-            )
-        k = m - len(sel_costs)
-        if k == 0:
-            if duration_budget is not None:
-                dur = _evaluate_duration(sel_words, probs_desc, cm)
-                if dur > duration_budget * (1.0 + _REL_TOL):
-                    continue
-            cost = _paired(probs_desc, sel_costs)
-            if best_words is None or cost < best_cost - tol(best_cost):
-                best_cost = cost
-                best_words = list(sel_words)
-            continue
-        if not pending:
-            continue
-        if sum(min(1 << d, k) for _, _, d in pending) < k:
-            continue
-
-        candidates: list[float] = []
-        for _, base, d in pending:
-            for j in range(1, min(1 << d, k) + 1):
-                candidates.append(base + g_cost[d][j])
-        candidates.sort()
-        completion = candidates[:k]
-        if len(completion) < k:
-            continue
-        merged = sorted(sel_costs + tuple(completion))
-        if best_words is not None and _paired(probs_desc, merged) >= best_cost - tol(best_cost):
-            continue
-        if g_dur is not None:
-            assert duration_budget is not None
-            base_durs = [_word_duration(w, cm) for w in sel_words]
-            durs: list[float] = []
-            for bits, _, d in pending:
-                root_dur = _word_duration(bits, cm)
-                for j in range(1, min(1 << d, k) + 1):
-                    durs.append(root_dur + g_dur[d][j])
-            durs.sort()
-            merged_durs = sorted(base_durs + durs[:k])
-            if _paired(probs_desc, merged_durs) > duration_budget * (1.0 + _REL_TOL):
+    def moves(state: tuple) -> list[tuple]:
+        k, flat = state[0], state[1:]
+        items = list(zip(flat[::3], flat[1::3], flat[2::3]))
+        n = 0
+        while n < len(items) and items[n][0] == 0:
+            n += 1
+        groups = [list(g) for _, g in groupby(items[:n], key=itemgetter(1))]
+        options = []
+        for g in groups:
+            expandable = sum(r >= 1 for _, _, r in g)
+            emptiable = sum(r >= 0 for _, _, r in g) if loose else 0
+            options.append([(e, x) for e in range(expandable + 1) for x in range(max(emptiable - e, 0) + 1)])
+        out = []
+        for choice in product(*options):
+            counts = [len(g) - e - x for g, (e, x) in zip(groups, choice)]
+            j = k + sum(counts)
+            if j > m:
                 continue
+            new = list(items[n:])
+            for g, (e, _) in zip(groups, choice):
+                for _, d, r in g[len(g) - e:]:
+                    new.append((b0, d + t0, r - 1))
+                    new.append((b1, d + t1, r - 1))
+            spent, i = 0, k
+            if carry and len(new) > len(items) - n:
+                # '0' children stay on this level: its codewords wait, so
+                # that all of them go to symbols in order of duration
+                new += [(0, g[0][1], pinned) for g, c in zip(groups, counts) for _ in range(c)]
+                j = k
+            else:
+                for g, c in zip(groups, counts):
+                    spent += g[0][1] * (mass[i] - mass[i + c])
+                    i += c
+            if j == m:
+                # leftover nodes stay empty: only in loose mode, never a decided leaf
+                if not new or (loose and min(r for _, _, r in new) >= 0):
+                    out.append((spent, 0, 0, None))
+            elif new and (loose or len(new) <= m - j <= sum(1 << r for _, _, r in new)):
+                step, dstep, child = normalize(j, new)
+                out.append((spent, mass[j] * step, mass[j] * dstep, child))
+        return out
 
-        (bits, base, d), rest = pending[0], pending[1:]
-        # pushed second so the "select this node" branch is explored first
-        if d >= 1:
-            children = ((bits + "0", base + cm.beta0, d - 1), (bits + "1", base + cm.beta1, d - 1))
-            stack.append((children + rest, sel_costs, sel_words))
-        else:
-            stack.append((rest, sel_costs, sel_words))
-        stack.append((rest, tuple(sorted(sel_costs + (base,))), sel_words + (bits,)))
+    def frontier(state_moves: list[tuple]) -> list[tuple[int, int]]:
+        candidates = sorted(
+            (dc + c, spent + dd + d)
+            for spent, dc, dd, child in state_moves
+            for c, d in (((0, 0),) if child is None else memo[child])
+        )
+        front: list[tuple[int, int]] = []
+        for c, d in candidates:
+            if not front or d < front[-1][1]:
+                front.append((c, d))
+        return front
 
-    if best_words is None:
+    def solve(state: tuple) -> list[tuple[int, int]]:
+        nonlocal expanded
+        # an explicit stack: one path holds up to 2m levels, past the recursion limit
+        stack, open_moves = [state], {}
+        while stack:
+            top = stack[-1]
+            if top in memo:
+                stack.pop()
+                continue
+            state_moves = open_moves.get(top)
+            if state_moves is None:
+                expanded += 1
+                if expanded > node_budget:
+                    raise SearchBudgetError(
+                        f"prefix optimizer exceeded its node budget of {node_budget}",
+                        _best_seed(cm, dp, obj),
+                    )
+                state_moves = open_moves[top] = moves(top)
+                missing = [s for *_, s in state_moves if s is not None and s not in memo]
+                if missing:
+                    stack += missing
+                    continue
+            stack.pop()
+            del open_moves[top]
+            memo[top] = frontier(state_moves)
+        return memo[state]
+
+    def completions(cut: list[tuple[int, int, int]]) -> list[tuple[int, int]]:
+        base, dbase, state = normalize(0, cut)
+        return [(mass[0] * base + c, mass[0] * dbase + d) for c, d in solve(state)]
+
+    def node(bits: str) -> tuple[str, int, int, int]:
+        cost, dur = obj.word(bits)
+        return bits, cost, dur if rated else 0, dp - len(bits)
+
+    todo = [node("1"), node("0")]
+    opt = min(
+        (c for c, d in completions([n[1:] for n in todo]) if obj.within_budget(d)), default=None
+    )
+    if opt is None:
         raise InfeasibleError("no feasible prefix codebook under the given constraints")
-    return best_words
+
+    def attains(cut: list[tuple[int, int, int]]) -> bool:
+        return any(c == opt and obj.within_budget(d) for c, d in completions(cut))
+
+    words: list[str] = []
+    leaves: list[tuple[int, int, int]] = []
+    while todo:
+        bits, cost, dur, room = todo.pop()
+        cut = leaves + [n[1:] for n in todo]
+        leaf = (cost, dur, pinned)
+        if (room < 1 and not loose) or attains(cut + [leaf]):
+            leaves.append(leaf)
+            words.append(bits)
+        elif room >= 1:
+            children = [node(bits + "1"), node(bits + "0")]
+            if not loose or attains(cut + [n[1:] for n in children]):
+                todo += children
+    return obj.ordered(words)
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +554,13 @@ def optimize_prefix(
     over average uncoded symbol duration); by default no rate constraint
     applies. Default depth is ``default_depth(m)``; depths up to m - 1 only pay
     off as the cost ratio grows very large, and are accepted up to 128
-    since the search never materializes the tree.
+    since neither engine materializes the tree.
+
+    Equiprobable sources without ``eta_max`` take the uniform subtree
+    table; every other call takes the level engine, which raises
+    SearchBudgetError once it has expanded ``node_budget`` states. Both
+    return the lexicographically smallest sorted word list among the
+    exact optima.
     """
     src = as_source(source)
     m = src.m
@@ -471,50 +570,29 @@ def optimize_prefix(
     if 2**dp < m:
         raise InfeasibleError(f"depth {dp} admits at most {2**dp} codewords, need {m}")
 
-    probs_desc = tuple(reversed(src.probs))
     if eta_max is None and src.is_uniform:
-        words = _uniform_optimal_words(cm, dp, m)
+        words = _words_cheapest_first(_uniform_optimal_words(cm, dp, m), cm)
     else:
         duration_budget = None
         if eta_max is not None:
             duration_budget = _duration_budget(src, cm, eta_max)
-        seed = _best_seed(cm, dp, m, probs_desc, duration_budget)
-        words = _branch_and_bound(cm, dp, probs_desc, seed, duration_budget, node_budget)
-
-    entries = assign_to_symbols(_words_cheapest_first(words, cm), src)
-    return Codebook(kind="prefix", entries=entries)
+        words = _level_words(cm, dp, tuple(reversed(src.probs)), duration_budget, node_budget)
+    return Codebook(kind="prefix", entries=assign_to_symbols(words, src))
 
 
-def _best_seed(
-    cm: CostModel,
-    dp: int,
-    m: int,
-    probs_desc: tuple[float, ...],
-    duration_budget: float | None,
-) -> list[str] | None:
-    """Cheapest feasible warm start among easy constructions.
-
-    Candidates: the equiprobable-optimal codebook and every fixed-length
-    codebook of the m cheapest n-bit words for n in the feasible range.
-    """
+def _best_seed(cm: CostModel, dp: int, obj: _ExactObjective) -> list[str] | None:
+    """Cheapest code within the duration budget among easy constructions:
+    the equiprobable optimum and the m cheapest n-bit words for every
+    feasible n. None if none of them fits the budget."""
     from .fixedopt import cheapest_words
 
-    candidates: list[list[str]] = []
-    candidates.append(_uniform_optimal_words(cm, dp, m))
-    for n in range((m - 1).bit_length(), dp + 1):
-        candidates.append(cheapest_words(n, m))
-    best: list[str] | None = None
-    best_cost = math.inf
-    for words in candidates:
-        if duration_budget is not None:
-            dur = _evaluate_duration(words, probs_desc, cm)
-            if dur > duration_budget * (1.0 + _REL_TOL):
-                continue
-        cost = _evaluate_words(words, probs_desc, cm)
-        if cost < best_cost:
-            best_cost = cost
-            best = words
-    return best
+    m = len(obj.probs)
+    candidates = [_uniform_optimal_words(cm, dp, m)]
+    candidates += [cheapest_words(n, m) for n in range((m - 1).bit_length(), dp + 1)]
+    feasible = [
+        (cost, words) for words in candidates for cost, dur in [obj.totals(words)] if obj.within_budget(dur)
+    ]
+    return min(feasible, key=itemgetter(0))[1] if feasible else None
 
 
 def oracle_prefix(
@@ -527,8 +605,8 @@ def oracle_prefix(
 
     Exhaustively enumerates every m-subset of tree nodes that is free of
     ancestor conflicts and keeps the cheapest under the same objective as
-    optimize_prefix; cost ties resolve to the lexicographically smallest
-    sorted codeword list.
+    optimize_prefix, compared on the same exact integers; cost ties
+    resolve to the lexicographically smallest sorted codeword list.
     """
     src = as_source(source)
     m = src.m
@@ -539,6 +617,8 @@ def oracle_prefix(
     if 2**dp < m:
         raise InfeasibleError(f"depth {dp} admits at most {2**dp} codewords, need {m}")
 
+    # depth-first order is lexicographic order, so increasing index tuples
+    # compare as the sorted word lists do
     nodes = list(iter_node_bits(dp))
     conflict = [0] * q
     for i in range(q):
@@ -546,30 +626,24 @@ def oracle_prefix(
             if i != j and (nodes[j].startswith(nodes[i]) or nodes[i].startswith(nodes[j])):
                 conflict[i] |= 1 << j
 
-    probs_desc = tuple(reversed(src.probs))
     duration_budget = None
     if eta_max is not None:
         duration_budget = _duration_budget(src, cm, eta_max)
-
-    best_cost = math.inf
-    best_key: tuple[str, ...] | None = None
+    obj = _ExactObjective.of(cm, tuple(reversed(src.probs)), duration_budget)
+    values = [obj.word(bits) for bits in nodes]
+    best: tuple[int, tuple[int, ...]] | None = None
 
     def evaluate(chosen: list[int]) -> None:
-        nonlocal best_cost, best_key
-        words = [nodes[i] for i in chosen]
-        cost = _evaluate_words(words, probs_desc, cm)
-        if duration_budget is not None:
-            if _evaluate_duration(words, probs_desc, cm) > duration_budget * (1.0 + _REL_TOL):
-                return
-        key = tuple(sorted(words))
-        if best_key is None:
-            best_cost, best_key = cost, key
+        nonlocal best
+        pairs = sorted(values[i] for i in chosen)
+        cost = sum(p * c for p, (c, _) in zip(obj.probs, pairs))
+        if best is not None and cost > best[0]:
             return
-        margin = _REL_TOL * max(1.0, abs(best_cost))
-        if cost < best_cost - margin:
-            best_cost, best_key = cost, key
-        elif abs(cost - best_cost) <= margin and key < best_key:
-            best_key = key
+        if not obj.within_budget(sum(p * d for p, (_, d) in zip(obj.probs, pairs))):
+            return
+        key = (cost, tuple(chosen))
+        if best is None or key < best:
+            best = key
 
     def recurse(start: int, chosen: list[int], banned: int) -> None:
         if len(chosen) == m:
@@ -584,7 +658,7 @@ def oracle_prefix(
                 chosen.pop()
 
     recurse(0, [], 0)
-    if best_key is None:
+    if best is None:
         raise InfeasibleError("no feasible prefix codebook under the given constraints")
-    entries = assign_to_symbols(_words_cheapest_first(list(best_key), cm), src)
-    return Codebook(kind="prefix", entries=entries)
+    words = obj.ordered([nodes[i] for i in best[1]])
+    return Codebook(kind="prefix", entries=assign_to_symbols(words, src))

@@ -3,18 +3,21 @@ import heapq
 import math
 import random
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import mecode as mc
+from mecode.costmodel import assign_to_symbols
 from mecode.errors import InfeasibleError, SearchBudgetError, ValidationError
 from mecode.metrics import log_grid
 from mecode.varopt import (
     DEFAULT_DEPTH_CAP,
-    _branch_and_bound,
+    _duration_budget,
     _evaluate_words,
+    _level_words,
     _uniform_optimal_words,
     default_depth,
     iter_node_bits,
@@ -188,6 +191,23 @@ def uniform_instances(draw):
     return mc.CostModel(beta0, beta1, 1.0, 1.0), dp, m
 
 
+@st.composite
+def oracle_instances(draw):
+    m = draw(st.integers(2, 8))
+    dp = draw(st.integers(max(1, (m - 1).bit_length()), 4))
+    beta0, beta1 = sorted((draw(st.sampled_from(BETAS)), draw(st.sampled_from(BETAS))))
+    if beta1 == 0.0:
+        beta1 = 1.0
+    t0, t1 = draw(st.floats(0.25, 4.0)), draw(st.floats(0.25, 4.0))
+    if draw(st.booleans()):
+        src = mc.uniform_source(m)
+    else:
+        raw = draw(st.lists(st.floats(0.05, 1.0), min_size=m, max_size=m))
+        src = mc.symbol_source([v / sum(raw) for v in raw])
+    eta_max = draw(st.none() | st.floats(1.0, 2.5))
+    return mc.CostModel(beta0, beta1, t0, t1), dp, src, eta_max
+
+
 class TestUniformEngine:
     @settings(max_examples=150, deadline=None)
     @given(uniform_instances())
@@ -260,10 +280,10 @@ class TestOracle:
                     assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
 
 
-class TestBranchAndBoundEngine:
+class TestLevelEngine:
     def test_matches_uniform_dp_engine(self):
         # the subtree dynamic program answers equiprobable instances; the
-        # search engine must reach the same optimum when handed equal weights
+        # level engine must reach the same optimum when handed equal weights
         for m, dp in ((4, 3), (5, 4), (8, 5), (8, 7)):
             probs_desc = tuple([1.0 / m] * m)
             for gamma in (1.0, 3.0, 40.0, math.inf):
@@ -271,7 +291,7 @@ class TestBranchAndBoundEngine:
                 src = mc.uniform_source(m)
                 dp_cb = mc.optimize_prefix(src, cm, dp=dp)
                 want = mc.average_cost(src, dp_cb, cm)
-                words = _branch_and_bound(cm, dp, probs_desc, None, None, 10**6)
+                words = _level_words(cm, dp, probs_desc, None, 10**6)
                 got = _evaluate_words(words, probs_desc, cm)
                 assert got == pytest.approx(want, rel=1e-12)
 
@@ -298,6 +318,157 @@ class TestBranchAndBoundEngine:
             for _ in (0,)
         )
         assert skewed <= from_uniform + 1e-12
+
+    @pytest.mark.parametrize(
+        "m, gamma, dp",
+        [(10, 5.0, None), (8, 1.0, 7)]
+        + [(16, gamma, 15) for gamma in (1.0, 2.0, 5.0, 100.0, math.inf)],
+    )
+    def test_former_budget_instances_solve(self, m, gamma, dp):
+        # the first two exhausted the old branch and bound's default node
+        # budget: the 10-symbol CLI default and plain Huffman coding
+        src = random_source(random.Random(1), m)
+        cm = mc.model_from_gamma(gamma)
+        cb = mc.optimize_prefix(src, cm, dp=dp)
+        assert cb.max_length() <= (dp or default_depth(m))
+        _, scan = mc.optimize_fixed(src, cm)
+        assert mc.average_cost(src, cb, cm) <= scan.best_cost() * (1 + 1e-12)
+
+    def test_uniform_source_under_eta_max_solves(self):
+        src = mc.uniform_source(16)
+        cm = mc.model_from_gamma(5.0)
+        free = mc.optimize_prefix(src, cm, dp=15)
+        cb = mc.optimize_prefix(src, cm, dp=15, eta_max=1.1)
+        assert mc.rate_reduction(src, cb, cm) <= 1.1
+        assert mc.average_cost(src, cb, cm) >= mc.average_cost(src, free, cm)
+
+    def test_stream_codebook_is_pinned(self):
+        # the lexicographically smallest of the 9 exact optima among all
+        # full trees of depth <= 5 with 16 leaves
+        skew = [1.0 / k for k in range(1, 17)]
+        src = mc.symbol_source([p / sum(skew) for p in skew])
+        cb = mc.optimize_prefix(src, mc.CostModel(5, 1, 1, 1), dp=5)
+        assert [e.bits for e in cb.entries] == [
+            "0000", "001", "00010", "01000", "10000", "011", "0101", "1001",
+            "1010", "1100", "00011", "01001", "10001", "111", "1011", "1101",
+        ]
+
+    @settings(max_examples=40, deadline=None)
+    @given(oracle_instances())
+    @example((mc.CostModel(0.0, 1.0, 2.0, 0.5), 3, mc.symbol_source([0.6, 0.25, 0.15]), None))
+    @example((mc.CostModel(1.0, 1.0, 0.5, 2.0), 4, mc.symbol_source([0.3, 0.2, 0.2, 0.1, 0.1, 0.1]), None))
+    @example((  # the optimum within the budget, ['01', '1'], is not a full tree
+        mc.CostModel(5.0, 1e300, 2.0, 0.5), 2, mc.symbol_source([0.79, 0.21]), 1.2
+    ))
+    @example((mc.CostModel(1.0, 5.0, 1.0, 1.0), 4, mc.uniform_source(6), 1.2))
+    @example((  # beta0 = 0: expanding a node puts its '0' child on the same cost level
+        mc.CostModel(0.0, 31.6, 1.0, 1.0), 4, mc.symbol_source([0.27, 0.17, 0.17, 0.16, 0.12, 0.11]), 1.2
+    ))
+    def test_matches_oracle_word_for_word(self, instance):
+        # the oracle's tie-break is the engine's: the lexicographically
+        # smallest sorted word list among exact optima, also where the
+        # rate bound makes a code that is not a full tree the optimum
+        cm, dp, src, eta_max = instance
+        probs_desc = tuple(reversed(src.probs))
+        budget = None if eta_max is None else _duration_budget(src, cm, eta_max)
+        try:
+            want = mc.oracle_prefix(src, cm, dp, eta_max=eta_max)
+        except InfeasibleError:
+            with pytest.raises(InfeasibleError):
+                _level_words(cm, dp, probs_desc, budget, 10**6)
+            return
+        words = _level_words(cm, dp, probs_desc, budget, 10**6)
+        assert assign_to_symbols(words, src) == tuple(e.bits for e in want.entries)
+
+    def test_leaves_no_cyclic_garbage(self):
+        # the memo is local to the call and freed by reference counting
+        src = random_source(random.Random(3), 12)
+        gc.collect()
+        gc.disable()
+        try:
+            mc.optimize_prefix(src, mc.model_from_gamma(5.0), dp=5)
+            mc.optimize_prefix(mc.uniform_source(12), mc.model_from_gamma(5.0), dp=5, eta_max=1.3)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+
+def package_merge_lengths(weights, max_len):
+    """Optimal codeword lengths <= max_len minimizing sum(w * l) (package
+    merge, Larmore and Hirschberg 1990): every symbol puts one coin of its
+    weight on each level, pairs of the cheapest items on a level are
+    packaged onto the level above, and the 2n - 2 cheapest items on the
+    top level are spent; a symbol's length is its number of spent coins."""
+    coins = sorted((w, (i,)) for i, w in enumerate(weights))
+    items = coins
+    for _ in range(max_len - 1):
+        packages = [(a[0] + b[0], a[1] + b[1]) for a, b in zip(items[::2], items[1::2])]
+        items = sorted(coins + packages)
+    lengths = [0] * len(weights)
+    for _, symbols in items[: 2 * len(weights) - 2]:
+        for i in symbols:
+            lengths[i] += 1
+    return lengths
+
+
+def entropy_bound(src, cm):
+    """Krause's lower bound H(P) / c on any prefix code's expected cost,
+    c the positive root of 2**(-beta0*c) + 2**(-beta1*c) = 1, by float
+    bisection to the last bit. Without a positive root (beta0 = 0) it is 0."""
+    def excess(c):
+        return 2.0 ** (-cm.beta0 * c) + 2.0 ** (-cm.beta1 * c) - 1.0
+
+    if cm.beta0 == 0.0:
+        return 0.0
+    lo, hi = 0.0, 1.0 / cm.beta0  # excess(hi) <= 0 as beta1 >= beta0
+    while True:
+        mid = (lo + hi) / 2
+        if mid in (lo, hi):
+            break
+        lo, hi = (mid, hi) if excess(mid) > 0 else (lo, mid)
+    return mc.metrics.source_entropy(src) / hi
+
+
+class TestIndependentOracles:
+    def test_matches_package_merge_at_gamma_one(self):
+        # gamma = 1 makes the cost the expected length, and dp < m - 1 a
+        # binding length limit: length-limited Huffman coding
+        rng = random.Random(1990)
+        cm = mc.CostModel(1, 1, 1, 1)
+        for m in (5, 8, 13, 21, 32, 64):
+            src = random_source(rng, m)
+            weights = [Fraction(p) for p in src.probs_by_symbol()]
+            lo = (m - 1).bit_length()
+            for dp in sorted({lo, min(lo + 2, m - 2)}):
+                want = sum(w * n for w, n in zip(weights, package_merge_lengths(weights, dp)))
+                cb = mc.optimize_prefix(src, cm, dp=dp)
+                got = sum(w * len(e) for w, e in zip(weights, cb.entries))
+                assert got == want, (m, dp)
+
+    def test_table4_entropy_bound(self, gamma5):
+        src = mc.uniform_source(8)
+        assert round(entropy_bound(src, gamma5), 3) == 7.395
+        assert mc.average_cost(src, mc.optimize_prefix(src, gamma5, dp=7), gamma5) == 7.75
+        assert entropy_bound(src, mc.CostModel(0, 1, 1, 1)) == 0.0
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(2, 16), st.sampled_from(BETAS), st.sampled_from(BETAS),
+        st.booleans(), st.integers(0, 2**32), st.integers(0, 3),
+    )
+    @example(200, 1.0, 5.0, True, 0, 3)
+    def test_no_engine_beats_the_entropy_bound(self, m, x, y, uniform, seed, slack):
+        # a certificate only: every engine's cost stays at or above H(P)/c
+        beta0, beta1 = sorted((x, y))
+        # beta0 = 0 has no positive root; a vast ratio puts it below float resolution
+        assume(beta0 > 0.0 and beta1 / beta0 <= 1e6)
+        cm = mc.CostModel(beta0, beta1, 1, 1)
+        src = mc.uniform_source(m) if uniform else random_source(random.Random(seed), m)
+        dp = min(m - 1, (m - 1).bit_length() + slack)
+        bound = entropy_bound(src, cm) * (1 - 1e-12)
+        assert mc.average_cost(src, mc.optimize_prefix(src, cm, dp=dp), cm) >= bound
+        if node_count(dp) <= 30 and m <= 6:
+            assert mc.average_cost(src, mc.oracle_prefix(src, cm, dp), cm) >= bound
 
 
 class TestEtaConstraint:
@@ -363,7 +534,7 @@ class TestEtaConstraint:
 
 class TestStress:
     def test_cross_engine_agreement_random_gammas(self):
-        # the uniform DP and the search engine are independent code paths;
+        # the uniform DP and the level engine are independent code paths;
         # drive both across random cost ratios and depths
         rng = random.Random(2718)
         for _ in range(40):
@@ -374,7 +545,7 @@ class TestStress:
             src = mc.uniform_source(m)
             want = mc.average_cost(src, mc.optimize_prefix(src, cm, dp=dp), cm)
             probs_desc = tuple([1.0 / m] * m)
-            words = _branch_and_bound(cm, dp, probs_desc, None, None, 10**6)
+            words = _level_words(cm, dp, probs_desc, None, 10**6)
             got = _evaluate_words(words, probs_desc, cm)
             assert got == pytest.approx(want, rel=1e-12), (m, dp, gamma)
 

@@ -35,29 +35,37 @@ from .errors import ValidationError
 SWEEP_COLUMNS = ("kind", "m", "gamma", "n_or_dp", "l_src", "eta", "beta_code", "epsilon")
 
 
+def _total(terms: Iterable[float]) -> float:
+    """Left-to-right float sum; the builtin sum() compensates since Python 3.12."""
+    total = 0.0
+    for term in terms:
+        total += term
+    return total
+
+
 def source_entropy(source: SymbolSource | int) -> float:
     """Entropy of the source in bits; 0*log(0) counts as 0."""
     src = as_source(source)
-    return -sum(p * math.log2(p) for p in src.probs if p > 0.0)
+    return -_total(p * math.log2(p) for p in src.probs if p > 0.0)
 
 
 def average_length(source: SymbolSource | int, cb: Codebook) -> float:
     src = as_source(source)
     probs = src.probs_by_symbol()
-    return sum(p * len(e) for p, e in zip(probs, cb.entries))
+    return _total(p * len(e) for p, e in zip(probs, cb.entries))
 
 
 def average_cost(source: SymbolSource | int, cb: Codebook, cm: CostModel) -> float:
     """Expected per-symbol transmission energy of the codebook."""
     src = as_source(source)
     probs = src.probs_by_symbol()
-    return sum(p * codeword_cost(e, cm) for p, e in zip(probs, cb.entries))
+    return _total(p * codeword_cost(e, cm) for p, e in zip(probs, cb.entries))
 
 
 def average_duration(source: SymbolSource | int, cb: Codebook, cm: CostModel) -> float:
     src = as_source(source)
     probs = src.probs_by_symbol()
-    return sum(p * codeword_duration(e, cm) for p, e in zip(probs, cb.entries))
+    return _total(p * codeword_duration(e, cm) for p, e in zip(probs, cb.entries))
 
 
 def source_symbol_duration(source: SymbolSource | int, cm: CostModel) -> float:
@@ -199,18 +207,41 @@ def _row(kind: str, m: int, gamma: float, n_or_dp: int, metrics: CodebookMetrics
     }
 
 
-def _optimized_row(kind: str, m: int, gamma: float, spec: SweepSpec) -> dict:
+def optimize_codebook(
+    kind: str,
+    source: SymbolSource | int,
+    cm: CostModel,
+    *,
+    n_max: int | None = None,
+    dp: int | None = None,
+    eta_max: float | None = None,
+):
+    """Optimal codebook of `kind` ("fixed" or "prefix") for the source.
+
+    Returns (codebook, n_or_dp, scan): the chosen block length and the
+    `FixedScan` for fixed codes; the candidate tree depth, by default
+    `default_depth(m)`, and None for prefix codes. `n_max` applies to fixed
+    codes only, `dp` and `eta_max` to prefix codes only.
+    """
     from .fixedopt import optimize_fixed
     from .varopt import default_depth, optimize_prefix
 
+    src = as_source(source)
+    if kind == "fixed":
+        if eta_max is not None:
+            raise ValidationError("eta_max: applies to prefix codes only")
+        cb, scan = optimize_fixed(src, cm, n_max=n_max)
+        return cb, scan.n_opt, scan
+    dp = dp if dp is not None else default_depth(src.m)
+    return optimize_prefix(src, cm, dp=dp, eta_max=eta_max), dp, None
+
+
+def _optimized_row(kind: str, m: int, gamma: float, spec: SweepSpec, dp: int | None = None) -> dict:
     src = as_source(m)
     cm = model_from_gamma(gamma, spec.t0, spec.t1)
-    if kind == "fixed":
-        cb, scan = optimize_fixed(src, cm, n_max=spec.n_max)
-        return _row(kind, m, gamma, scan.n_opt, evaluate(src, cb, cm))
-    dp = spec.dp if spec.dp is not None else default_depth(m)
-    cb = optimize_prefix(src, cm, dp=dp)
-    return _row(kind, m, gamma, dp, evaluate(src, cb, cm))
+    dp = spec.dp if dp is None else dp
+    cb, n_or_dp, _ = optimize_codebook(kind, src, cm, n_max=spec.n_max, dp=dp)
+    return _row(kind, m, gamma, n_or_dp, evaluate(src, cb, cm))
 
 
 def sweep(spec: SweepSpec) -> list[dict]:
@@ -246,16 +277,9 @@ def sweep(spec: SweepSpec) -> list[dict]:
                 for m in spec.grid:
                     rows.append(_optimized_row(kind, int(m), gamma, spec))
     else:  # var == "dp"
-        from .varopt import optimize_prefix
-
-        m = spec.m[0]
-        src = as_source(m)
         for gamma in spec.gammas:
-            cm = model_from_gamma(gamma, spec.t0, spec.t1)
             for dp in spec.grid:
-                dp = int(dp)
-                cb = optimize_prefix(src, cm, dp=dp)
-                rows.append(_row("prefix", m, gamma, dp, evaluate(src, cb, cm)))
+                rows.append(_optimized_row("prefix", spec.m[0], gamma, spec, int(dp)))
     return rows
 
 

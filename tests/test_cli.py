@@ -356,3 +356,57 @@ class TestEnvPrecedence:
                  "--beta0", "0", "--beta1", "1", "--dp", "7", "-o", str(out))
         cb = mc.codebook_from_json(out.read_text())
         assert cb.max_length() == 7  # flag overrides env
+
+
+class TestRejectedInputs:
+    @pytest.mark.parametrize("text, message", [
+        ("0 1 x 2", "symbols[2]: must be an integer, got 'x'"),
+        ("2.5", "symbols[0]: must be an integer, got '2.5'"),
+    ])
+    def test_encode_non_integer_token(self, capsys, tmp_path, text, message):
+        cb_path = tmp_path / "cb.json"
+        cb_path.write_text(mc.codebook_to_json(mc.Codebook(kind="fixed", entries=("00", "01", "10"))))
+        symbols = tmp_path / "s.txt"
+        symbols.write_text(text)
+        code, _, err = run(capsys, "encode", "-c", str(cb_path), "-i", str(symbols),
+                           "-o", str(tmp_path / "s.bin"))
+        assert code == 1
+        assert err == f"error: {message}\n"
+        assert not (tmp_path / "s.bin").exists()
+
+    @pytest.mark.parametrize("kind, extra, flag", [
+        ("fixed", ["--eta-max", "0.5"], "eta_max"),
+        ("prefix", ["--scan", "scan.csv"], "--scan"),
+    ])
+    def test_optimize_flag_of_the_other_kind(self, capsys, tmp_path, monkeypatch, kind, extra, flag):
+        monkeypatch.chdir(tmp_path)
+        code, _, err = run(capsys, "optimize", "--kind", kind, "--m", "8", "--beta0", "1",
+                           "--beta1", "5", "-o", "cb.json", *extra)
+        assert code == 1
+        assert err.startswith(f"error: {flag}: ")
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestReproduceManifest:
+    # SHA-256 of every file of `reproduce --target all`, as pinned by the
+    # `reproduce` manifest of bench/reference.json.
+    MANIFEST = {
+        "fig2.csv": "a0126a23816d2a78f0e38578e13a4641cf7c7e22c1ae3beba95c3582deb6b06f",
+        "fig3.csv": "b6f4aaf18d14f73b95b4eb05805d59e1fbccc063acc0e056823a5331348bb088",
+        "fig4.csv": "b6f4aaf18d14f73b95b4eb05805d59e1fbccc063acc0e056823a5331348bb088",
+        "fig5.csv": "51f72b5fed679e466afe1f6ca0604cf9a71dde285ce58ca19a40051d29261857",
+        "table1_k2_codebook.json": "498fd9b70543771c3ba24257c489898eeb4214c666e0d863602eb88e0101a68d",
+        "table1_k3_codebook.json": "fc91826eeeffeb7b2ffc707be99c3b2a7301e618866137a29cb2664ab815f9da",
+        "table2_k2_codebook.json": "abd99b114d865cc5ccf4e30697e4731c2cfc77952c702a3b0297e16fc6806657",
+        "table2_k3_codebook.json": "662b944e1375d6a0f968ccb17f9b656c03d4dd72ed516397d9b8a5607fe53063",
+        "table4_fixed_codebook.json": "3b9560e2714877ec5bdb0418b3cb4e978f9b11f1d1db811e5545bfec888198a4",
+        "table4_prefix_codebook.json": "7d1da640a7ec39d9a435fac30a8fee6f4fb4ac90a053d76ac22d6b35399daed2",
+    }
+
+    def test_all_targets_match_the_manifest(self, capsys, tmp_path):
+        import hashlib
+
+        code, _, err = run(capsys, "reproduce", "--target", "all", "--out-dir", str(tmp_path))
+        assert code == 0, err
+        got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+        assert got == self.MANIFEST
